@@ -1,7 +1,8 @@
 // Ablation benches for the design choices DESIGN.md calls out:
-//  1. Spatial access method for ε-window queries (SGB-Any's inner loop):
-//     R-tree vs. uniform grid vs. linear scan, on uniform and clustered
-//     (check-in-like) data.
+//  1. Spatial access method for streaming ε-window queries (the pattern of
+//     the R-tree's users: Groups_IX, incremental SGB-Any): R-tree vs.
+//     linear scan, on uniform and clustered (check-in-like) data. Batch
+//     SGB-Any uses the ε-grid instead (index/grid_partition.h).
 //  2. R-tree node capacity (Guttman's M) for the SGB-All Groups_IX.
 //  3. Hull-refinement cost: SGB-All bounds-checking under L2 (hull test
 //     active) vs. L∞ (rectangle test exact) on identical data.
@@ -10,7 +11,6 @@
 
 #include "bench_common.h"
 #include "core/sgb_all.h"
-#include "index/grid_index.h"
 #include "index/rtree.h"
 #include "workload/checkin.h"
 
@@ -52,22 +52,6 @@ void BM_WindowQueriesRTree(benchmark::State& state, bool clustered) {
       tree.Search(Rect::Around(pts[i], kEpsilon),
                   [&hits](const Rect&, uint64_t) { ++hits; });
       tree.Insert(pts[i], i);
-    }
-    benchmark::DoNotOptimize(hits);
-  }
-  state.counters["pairs"] = static_cast<double>(hits);
-}
-
-void BM_WindowQueriesGrid(benchmark::State& state, bool clustered) {
-  const auto& pts = Data(clustered);
-  size_t hits = 0;
-  for (auto _ : state) {
-    sgb::index::GridIndex grid(kEpsilon);
-    hits = 0;
-    for (size_t i = 0; i < pts.size(); ++i) {
-      grid.Search(Rect::Around(pts[i], kEpsilon),
-                  [&hits](const Point&, uint64_t) { ++hits; });
-      grid.Insert(pts[i], i);
     }
     benchmark::DoNotOptimize(hits);
   }
@@ -135,12 +119,6 @@ int main(int argc, char** argv) {
         ("Ablation_Index/RTree/" + tag).c_str(),
         [clustered](benchmark::State& s) {
           BM_WindowQueriesRTree(s, clustered);
-        })
-        ->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark(
-        ("Ablation_Index/Grid/" + tag).c_str(),
-        [clustered](benchmark::State& s) {
-          BM_WindowQueriesGrid(s, clustered);
         })
         ->Unit(benchmark::kMillisecond);
     benchmark::RegisterBenchmark(

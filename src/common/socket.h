@@ -108,10 +108,15 @@ class Listener {
   const std::string& unix_path() const { return unix_path_; }
 
   /// Blocks until a connection arrives. Checks the `server.accept` fault
-  /// site; IoError once the listener has been Close()d from another thread.
+  /// site; IoError once the listener has been shut down or closed.
   Result<Socket> Accept();
 
-  /// Closes the listening socket, unblocking a concurrent Accept().
+  /// Shuts the listening socket down without releasing its descriptor: a
+  /// concurrent Accept() wakes with an error. Join the accepting thread
+  /// before Close(), which writes the descriptor the thread reads.
+  void Shutdown() { socket_.Shutdown(); }
+
+  /// Closes the listening socket.
   void Close();
 
  private:

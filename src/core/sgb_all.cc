@@ -33,11 +33,6 @@ using geom::Rect;
 /// overhead dominates any possible speedup.
 constexpr size_t kMinParallelPoints = 64;
 
-/// How many points a core loop processes between governance checks. Matches
-/// the operator layer's per-row stride so worst-case cancel latency is the
-/// same whichever layer is the bottleneck.
-constexpr size_t kAbortCheckStride = 64;
-
 /// Relabels per-runner group ids into the output numbering of the Grouping
 /// contract: dense, 0-based, in order of first appearance in the input.
 /// `comp_of`, when given, disambiguates the local ids of independent
@@ -64,7 +59,7 @@ Grouping CanonicalizeLabels(size_t n, const std::vector<size_t>& assignment,
 /// One SGB-All group in the current re-grouping round's universe.
 struct Group {
   std::vector<size_t> members;   // indices into the input point array
-  geom::PointColumns soa;        // members' coordinates, SoA, same order
+  geom::PointColumns<2> soa;     // members' coordinates, SoA, same order
   geom::EpsilonRect rect;        // ε-All rectangle + member MBR
   geom::IncrementalHull hull;    // maintained only under L2
   bool alive = true;
@@ -136,7 +131,7 @@ class SgbAllRunner {
     const size_t n = g.members.size();
     mask_.resize(geom::KernelMaskWords(n));
     if (stats_ != nullptr) stats_->distance_computations += n;
-    return block_sim_.Match(p, g.soa.xs(), g.soa.ys(), n, mask_.data());
+    return block_sim_.Match(p, g.soa.col(0), g.soa.col(1), n, mask_.data());
   }
 
   // ---- Group maintenance ------------------------------------------------
@@ -148,7 +143,7 @@ class SgbAllRunner {
     g.rect.Insert(points_[point_index]);
     if (L2()) g.hull.Insert(points_[point_index]);
     g.members.push_back(point_index);
-    g.soa.PushBack(points_[point_index]);
+    g.soa.PushBack(geom::ToPointN(points_[point_index]));
     groups_.push_back(std::move(g));
     if (use_index_) groups_ix_.Insert(groups_[gid].rect.all_rect(), gid);
     if (stats_ != nullptr) ++stats_->groups_created;
@@ -159,7 +154,7 @@ class SgbAllRunner {
     Group& g = groups_[gid];
     const Rect old_rect = g.rect.all_rect();
     g.members.push_back(point_index);
-    g.soa.PushBack(points_[point_index]);
+    g.soa.PushBack(geom::ToPointN(points_[point_index]));
     g.rect.Insert(points_[point_index]);
     if (L2()) g.hull.Insert(points_[point_index]);
     if (use_index_ && !(g.rect.all_rect() == old_rect)) {
@@ -184,7 +179,7 @@ class SgbAllRunner {
     g.soa.Clear();
     for (const size_t m : g.members) {
       pts.push_back(points_[m]);
-      g.soa.PushBack(points_[m]);
+      g.soa.PushBack(geom::ToPointN(points_[m]));
     }
     g.rect.Rebuild(pts);
     if (L2()) g.hull.Rebuild(pts);
@@ -196,12 +191,12 @@ class SgbAllRunner {
 
   // ---- FindCloseGroups (Procedures 2, 4, 5) -----------------------------
 
-  /// True iff p satisfies ξδ,ε against every member of g (bounds-checking
-  /// filter plus, for L2, the convex-hull refinement). Exact.
+  /// True iff p satisfies ξδ,ε against every member of g (for L2 the
+  /// bounds-checking filter plus the convex-hull refinement). Exact.
   bool CandidateTest(const Group& g, const Point& p) {
     if (stats_ != nullptr) ++stats_->rectangle_tests;
+    if (!L2()) return g.rect.LInfWithinEpsilonOfAll(p);
     if (!g.rect.PointInRectangleTest(p)) return false;
-    if (!L2()) return true;  // exact for L∞ (Definition 5)
     if (stats_ != nullptr) ++stats_->hull_tests;
     return g.hull.WithinEpsilonOfAll(p, options_.epsilon);
   }
@@ -527,10 +522,7 @@ Result<Grouping> SgbAll(std::span<const Point> points,
   SgbAllStats local;
   if (stats == nullptr) stats = &local;
   const size_t dop = ThreadPool::ResolveDop(options.degree_of_parallelism);
-  // ε = 0 degenerates the interaction grid (zero-width cells); those inputs
-  // are cheap to group serially anyway.
-  const bool parallel = dop > 1 && points.size() >= kMinParallelPoints &&
-                        options.epsilon > 0.0;
+  const bool parallel = dop > 1 && points.size() >= kMinParallelPoints;
   Grouping result;
   try {
     // Bookkeeping charge: the assignment/universe vectors (serial) plus the

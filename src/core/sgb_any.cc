@@ -4,10 +4,9 @@
 
 #include "common/query_context.h"
 #include "common/thread_pool.h"
+#include "core/sgb_nd.h"
 #include "geom/kernels.h"
-#include "geom/rect.h"
 #include "index/grid_partition.h"
-#include "index/rtree.h"
 #include "index/union_find.h"
 #include "obs/metrics.h"
 
@@ -15,24 +14,12 @@ namespace sgb::core {
 
 namespace {
 
-using geom::Metric;
-using geom::Point;
-using geom::Rect;
-
-/// Minimum input size for the parallel path: below this the partitioning
-/// overhead dominates any possible speedup.
-constexpr size_t kMinParallelPoints = 64;
-
-/// Points processed between governance checks in the serial loops (the
-/// parallel path checks inside the grid-partitioned union instead).
-constexpr size_t kAbortCheckStride = 64;
-
-Grouping LabelComponents(std::span<const Point> points,
-                         index::UnionFind& forest) {
+Grouping LabelComponents(index::UnionFind& forest) {
+  const size_t n = forest.size();
   Grouping result;
-  result.group_of.assign(points.size(), Grouping::kEliminated);
-  std::vector<size_t> label_of_root(points.size(), Grouping::kEliminated);
-  for (size_t i = 0; i < points.size(); ++i) {
+  result.group_of.assign(n, Grouping::kEliminated);
+  std::vector<size_t> label_of_root(n, Grouping::kEliminated);
+  for (size_t i = 0; i < n; ++i) {
     const size_t root = forest.Find(i);
     if (label_of_root[root] == Grouping::kEliminated) {
       label_of_root[root] = result.num_groups++;
@@ -42,107 +29,65 @@ Grouping LabelComponents(std::span<const Point> points,
   return result;
 }
 
-Grouping RunAllPairs(std::span<const Point> points,
-                     const SgbAnyOptions& options, SgbAnyStats* stats) {
-  index::UnionFind forest(points.size());
-  // Block kernels scan point i against the SoA prefix [0, i); ForEachSetBit
-  // enumerates matches in ascending j, the same union order as the
-  // historical scalar double loop.
-  geom::PointColumns cols;
-  cols.Assign(points);
-  geom::BlockSimilarity sim(options.metric, options.epsilon);
+/// The oracle: point i against the SoA prefix [0, i), matches unioned in
+/// ascending j. Checks governance every kAbortCheckStride points (the grid
+/// checks per cell instead).
+template <size_t D, typename P>
+void UnionAllPairs(std::span<const P> input, const SgbAnyOptions& options,
+                   SgbAnyStats* stats, index::UnionFind& forest) {
+  ScopedMemoryCharge columns_charge(options.query_ctx,
+                                    input.size() * D * sizeof(double));
+  geom::PointColumns<D> points;
+  points.Assign(input);
+  const geom::BlockSimilarity sim(options.metric, options.epsilon);
   std::vector<uint64_t> mask(geom::KernelMaskWords(points.size()));
   for (size_t i = 0; i < points.size(); ++i) {
     if (options.query_ctx != nullptr && i % kAbortCheckStride == 0) {
       ThrowIfAborted(options.query_ctx);
     }
-    if (stats != nullptr) stats->distance_computations += i;
-    sim.Match(points[i], cols.xs(), cols.ys(), i, mask.data());
+    stats->distance_computations += i;
+    sim.Match(points[i], points, 0, i, mask.data());
     geom::ForEachSetBit(mask.data(), i, [&](size_t j) {
-      if (stats != nullptr) {
-        ++stats->union_operations;
-        if (!forest.Connected(i, j)) ++stats->group_merges;
-      }
+      ++stats->union_operations;
+      if (!forest.Connected(i, j)) ++stats->group_merges;
       forest.Union(i, j);
     });
   }
-  return LabelComponents(points, forest);
 }
 
-/// Procedure 8 (FindCandidateGroups) + Procedure 9 (ProcessGroupingANY),
-/// fused: the window query yields the ε-neighbours among processed points;
-/// each verified neighbour's group is merged with the new point's via
-/// union-find, which realizes new-group creation, single-group join, and
-/// multi-group merge uniformly.
-Grouping RunIndexed(std::span<const Point> points,
-                    const SgbAnyOptions& options, SgbAnyStats* stats) {
-  index::UnionFind forest(points.size());
-  index::RTree points_ix;
-  // Hoists ε² out of the per-neighbour L2 verification.
-  const geom::SimilarityPredicate similar(options.metric, options.epsilon);
-  for (size_t i = 0; i < points.size(); ++i) {
-    if (options.query_ctx != nullptr && i % kAbortCheckStride == 0) {
-      ThrowIfAborted(options.query_ctx);
-    }
-    const Point& p = points[i];
-    if (stats != nullptr) ++stats->index_window_queries;
-    const Rect window = Rect::Around(p, options.epsilon);
-    points_ix.Search(window, [&](const Rect& r, uint64_t id) {
-      const Point q{r.lo.x, r.lo.y};  // points are degenerate rects
-      if (options.metric == Metric::kL2) {
-        // VerifyPoints: the ε-window is the L∞ ball; L2 needs a check.
-        if (stats != nullptr) ++stats->distance_computations;
-        if (!similar(p, q)) return;
-      }
-      if (stats != nullptr) {
-        ++stats->union_operations;
-        if (!forest.Connected(i, id)) ++stats->group_merges;
-      }
-      forest.Union(i, static_cast<size_t>(id));
-    });
-    points_ix.Insert(p, i);
-  }
-  return LabelComponents(points, forest);
-}
-
-/// Partition-parallel SGB-Any: the ε-neighbour graph's edges are found by a
-/// grid-partitioned scan (each worker unions within its own disjoint cell
-/// range; partition-seam pairs are merged sequentially afterwards), and the
-/// forest's components are labeled canonically by first appearance. Since
-/// SGB-Any is exactly "connected components of the ε-neighbour graph" — an
-/// order-insensitive result — this reproduces the serial grouping
-/// bit-for-bit at every degree of parallelism (docs/PARALLELISM.md).
-Grouping RunParallel(std::span<const Point> points,
-                     const SgbAnyOptions& options, SgbAnyStats* stats,
-                     size_t dop) {
-  index::UnionFind forest(points.size());
+/// Procedure 8 (FindCandidateGroups) + Procedure 9 (ProcessGroupingANY) on
+/// the ε-grid: every ε-neighbour pair is found once in a cell or between
+/// adjacent cells and unioned, which realizes new-group creation,
+/// single-group join, and multi-group merge uniformly. SGB-Any is exactly
+/// "connected components of the ε-neighbour graph" — an order-insensitive
+/// result — so the grid reproduces the all-pairs grouping bit-for-bit at
+/// every degree of parallelism (docs/PARALLELISM.md).
+template <typename P>
+void UnionOnGrid(std::span<const P> input, const SgbAnyOptions& options,
+                 SgbAnyStats* stats, size_t dop, index::UnionFind& forest) {
   std::vector<index::GridPartitionStats> grid_stats;
-  index::ParallelSimilarityUnion(points, options.metric, options.epsilon,
-                                 dop, ThreadPool::Default(), &forest,
-                                 &grid_stats, options.query_ctx);
-  if (stats != nullptr) {
-    size_t partitions = 0;
-    for (const index::GridPartitionStats& w : grid_stats) {
-      stats->distance_computations += w.distance_computations;
-      stats->union_operations += w.union_operations + w.boundary_edges;
-      if (w.cells > 0) ++partitions;
-      SgbWorkerStats worker;
-      worker.points = w.points;
-      worker.distance_computations = w.distance_computations;
-      stats->workers.push_back(worker);
-    }
-    stats->parallel_partitions = partitions;
-    // The boundary merge also performs unions; group_merges is the number
-    // of unions that actually reduced the component count.
-    stats->group_merges += points.size() - forest.NumSets();
+  index::ParallelSimilarityUnion(input, options.metric, options.epsilon, dop,
+                                 ThreadPool::Default(), &forest, &grid_stats,
+                                 options.query_ctx);
+  for (const index::GridPartitionStats& w : grid_stats) {
+    stats->distance_computations += w.distance_computations;
+    stats->union_operations += w.union_operations + w.boundary_edges;
+    if (dop == 1) continue;
+    if (w.cells > 0) ++stats->parallel_partitions;
+    SgbWorkerStats worker;
+    worker.points = w.points;
+    worker.distance_computations = w.distance_computations;
+    stats->workers.push_back(worker);
   }
-  return LabelComponents(points, forest);
+  // group_merges is the number of unions that reduced the component count.
+  stats->group_merges += input.size() - forest.NumSets();
 }
 
-}  // namespace
-
-Result<Grouping> SgbAny(std::span<const Point> points,
-                        const SgbAnyOptions& options, SgbAnyStats* stats) {
+/// The one SGB-Any implementation behind SgbAny (2-D Point input) and
+/// SgbAnyNd<D>.
+template <size_t D, typename P>
+Result<Grouping> RunSgbAny(std::span<const P> input,
+                           const SgbAnyOptions& options, SgbAnyStats* stats) {
   if (!(options.epsilon >= 0.0) || !std::isfinite(options.epsilon)) {
     return Status::InvalidArgument(
         "SGB-Any: similarity threshold epsilon must be finite and >= 0");
@@ -155,46 +100,62 @@ Result<Grouping> SgbAny(std::span<const Point> points,
   // caller's struct as the optional per-invocation view.
   SgbAnyStats local;
   if (stats == nullptr) stats = &local;
-  const size_t dop = ThreadPool::ResolveDop(options.degree_of_parallelism);
-  // ε = 0 degenerates the partition grid (zero-width cells); those inputs
-  // are cheap to group serially anyway.
-  const bool parallel = dop > 1 && points.size() >= kMinParallelPoints &&
-                        options.epsilon > 0.0;
+  const bool indexed = options.algorithm == SgbAnyAlgorithm::kIndexed;
+  const size_t dop =
+      indexed ? ThreadPool::ResolveDop(options.degree_of_parallelism) : 1;
+  const size_t n = input.size();
   Result<Grouping> result = [&]() -> Result<Grouping> {
     try {
       // Bookkeeping charge: union-find forest + labeling, O(n) words.
       ScopedMemoryCharge bookkeeping(options.query_ctx,
-                                     points.size() * sizeof(size_t) * 2);
-      if (parallel) return RunParallel(points, options, stats, dop);
-      switch (options.algorithm) {
-        case SgbAnyAlgorithm::kAllPairs:
-          return RunAllPairs(points, options, stats);
-        case SgbAnyAlgorithm::kIndexed:
-          return RunIndexed(points, options, stats);
+                                     n * sizeof(size_t) * 2);
+      index::UnionFind forest(n);
+      if (indexed) {
+        UnionOnGrid(input, options, stats, dop, forest);
+      } else {
+        UnionAllPairs<D>(input, options, stats, forest);
       }
-      return Status::Internal("SGB-Any: unknown algorithm");
+      return LabelComponents(forest);
     } catch (const QueryAbort& abort) {
-      // Governance aborts from the serial loops or (rethrown) ParallelFor
-      // workers surface as the core's Status.
+      // Governance aborts from the loops or (rethrown) ParallelFor workers
+      // surface as the core's Status.
       return abort.status();
     }
   }();
   auto& registry = obs::MetricsRegistry::Global();
   registry.GetCounter("sgb.any.invocations").Add(1);
-  registry.GetCounter("sgb.any.points").Add(points.size());
+  registry.GetCounter("sgb.any.points").Add(n);
   registry.GetCounter("sgb.any.distance_computations")
       .Add(stats->distance_computations);
-  registry.GetCounter("sgb.any.index_window_queries")
-      .Add(stats->index_window_queries);
   registry.GetCounter("sgb.any.union_operations")
       .Add(stats->union_operations);
   registry.GetCounter("sgb.any.group_merges").Add(stats->group_merges);
-  if (parallel) {
+  if (dop > 1) {
     registry.GetCounter("sgb.any.parallel_runs").Add(1);
     registry.GetCounter("sgb.any.parallel_partitions")
         .Add(stats->parallel_partitions);
   }
   return result;
 }
+
+}  // namespace
+
+Result<Grouping> SgbAny(std::span<const geom::Point> points,
+                        const SgbAnyOptions& options, SgbAnyStats* stats) {
+  return RunSgbAny<2>(points, options, stats);
+}
+
+template <size_t D>
+Result<Grouping> SgbAnyNd(std::span<const geom::PointN<D>> points,
+                          const SgbAnyOptions& options, SgbAnyStats* stats) {
+  return RunSgbAny<D>(points, options, stats);
+}
+
+template Result<Grouping> SgbAnyNd<2>(std::span<const geom::PointN<2>>,
+                                      const SgbAnyOptions&, SgbAnyStats*);
+template Result<Grouping> SgbAnyNd<3>(std::span<const geom::PointN<3>>,
+                                      const SgbAnyOptions&, SgbAnyStats*);
+template Result<Grouping> SgbAnyNd<4>(std::span<const geom::PointN<4>>,
+                                      const SgbAnyOptions&, SgbAnyStats*);
 
 }  // namespace sgb::core

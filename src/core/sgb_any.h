@@ -13,7 +13,6 @@ namespace sgb::core {
 /// Execution counters for the SGB-Any benchmark harness.
 struct SgbAnyStats {
   size_t distance_computations = 0;
-  size_t index_window_queries = 0;
   size_t union_operations = 0;
   size_t group_merges = 0;  ///< unions that actually merged two groups
   /// Parallel runs only: number of grid partitions and the per-worker-slot
@@ -29,10 +28,13 @@ struct SgbAnyStats {
 /// order-insensitive and no overlap arbitration is needed: a point touching
 /// several groups merges them (Procedure 9, MergeGroupsInsert).
 ///
-/// `kIndexed` follows Procedure 8: an R-tree (Points_IX) over processed
-/// points answers the ε-window query, and a union-find forest tracks
-/// existing, new, and merged groups. `kAllPairs` evaluates all
-/// n-choose-2 similarity predicates.
+/// `kIndexed` follows Procedure 8 with an ε-grid as Points_IX: each point is
+/// matched against the points of its own and the adjacent cells
+/// (index::ParallelSimilarityUnion, at the options' dop), and a union-find
+/// forest tracks existing, new, and merged groups. `kAllPairs` evaluates
+/// all n-choose-2 similarity predicates. Both find the same ε-edges, so by
+/// order independence they give the same groups; core::SgbAnyNd<D>
+/// (core/sgb_nd.h) is this same implementation for D = 2, 3, 4.
 ///
 /// Errors: InvalidArgument when ε is negative or not finite.
 Result<Grouping> SgbAny(std::span<const geom::Point> points,

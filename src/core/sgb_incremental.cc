@@ -1,6 +1,7 @@
 #include "core/sgb_incremental.h"
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_map>
 
 #include "common/memory_tracker.h"
@@ -79,15 +80,17 @@ Result<DeltaEvent> IncrementalSgbAny::Insert(const Point& p) {
   forest_.AddElement();
 
   // Procedure 8's window query over the processed points, one arrival at a
-  // time; pre-union roots identify the distinct prior groups touched.
+  // time; pre-union roots identify the distinct prior groups touched. The
+  // window's bounds p ± ε round on their own, so it can both hold a point a
+  // hair beyond ε and miss one a hair within: it is widened by a relative
+  // 2^-40 to a superset, and every hit is verified under both metrics.
   const geom::SimilarityPredicate similar(options_.metric, options_.epsilon);
+  const double slack =
+      (std::fabs(p.x) + std::fabs(p.y) + options_.epsilon) * 0x1p-40;
   std::vector<size_t> roots;
-  points_ix_.Search(Rect::Around(p, options_.epsilon),
+  points_ix_.Search(Rect::Around(p, options_.epsilon + slack),
                     [&](const Rect& r, uint64_t id) {
-                      const Point q{r.lo.x, r.lo.y};
-                      if (options_.metric == Metric::kL2 && !similar(p, q)) {
-                        return;  // the ε-window is the L∞ ball; L2 verifies
-                      }
+                      if (!similar(p, Point{r.lo.x, r.lo.y})) return;
                       const size_t root = forest_.Find(id);
                       if (std::find(roots.begin(), roots.end(), root) ==
                           roots.end()) {

@@ -6,13 +6,14 @@
 #include <span>
 #include <vector>
 
+#include "common/query_context.h"
 #include "common/status.h"
 #include "core/sgb_all.h"
 #include "core/sgb_any.h"
 #include "core/sgb_types.h"
+#include "geom/epsilon_rect.h"
 #include "geom/nd.h"
 #include "index/rtree_nd.h"
-#include "index/union_find.h"
 
 namespace sgb::core {
 
@@ -21,16 +22,20 @@ namespace sgb::core {
 ///
 /// Semantics are identical to the 2-D operators (same options, clauses and
 /// Grouping output; the 2-D specializations agree bit-for-bit with
-/// core::SgbAll / core::SgbAny — tested). One algorithmic difference: the
-/// L2 refinement uses an exact member scan of rectangle-passing groups
-/// instead of the 2-D convex-hull test (hulls do not generalize cheaply
-/// beyond the plane), so the L2 candidate test costs O(|g|) rather than
-/// O(log |g|) per rectangle-passing group. L∞ keeps the O(1) exact
-/// rectangle test. DESIGN.md discusses the trade-off.
+/// core::SgbAll / core::SgbAny — tested).
 ///
-/// Header-only (templates); `SgbAllAlgorithm::kBoundsChecking` and
-/// `kIndexed` differ only in how candidate groups are enumerated, exactly
-/// as in 2-D.
+/// SgbAnyNd is core::SgbAny's own implementation (ε-grid or all-pairs,
+/// governance and dop included), compiled for D = 2, 3 and 4.
+///
+/// SgbAllNd is a header-only N-D runner with governance (abort checks every
+/// kAbortCheckStride points, memory charge) but no parallel path. One
+/// algorithmic difference from 2-D: the L2 refinement uses an exact member
+/// scan of rectangle-passing groups instead of the 2-D convex-hull test
+/// (hulls do not generalize cheaply beyond the plane), so the L2 candidate
+/// test costs O(|g|) rather than O(log |g|) per rectangle-passing group.
+/// L∞ keeps an O(1) exact test on the member MBR. DESIGN.md discusses the
+/// trade-off. `SgbAllAlgorithm::kBoundsChecking` and `kIndexed` differ only
+/// in how candidate groups are enumerated, exactly as in 2-D.
 namespace nd_internal {
 
 /// ε-All bounding box + member MBR in D dimensions (Definition 5 lifted).
@@ -64,8 +69,29 @@ class EpsilonRectN {
     return !empty_ && all_rect_.Contains(p);
   }
 
+  /// Exact L∞ test against every member (see
+  /// geom::EpsilonRect::LInfWithinEpsilonOfAll).
+  bool LInfWithinEpsilonOfAll(const geom::PointN<D>& p) const {
+    if (empty_) return false;
+    for (size_t a = 0; a < D; ++a) {
+      if (!(std::fmax(std::fabs(p[a] - mbr_.lo[a]),
+                      std::fabs(p[a] - mbr_.hi[a])) <= epsilon_)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// See geom::EpsilonRect::OverlapRectangleTest.
   bool OverlapRectangleTest(const geom::PointN<D>& p) const {
-    return !empty_ && mbr_.Intersects(geom::RectN<D>::Around(p, epsilon_));
+    if (empty_) return false;
+    for (size_t a = 0; a < D; ++a) {
+      if (!(geom::EpsilonRect::AxisGap(p[a], mbr_.lo[a], mbr_.hi[a]) <=
+            epsilon_)) {
+        return false;
+      }
+    }
+    return true;
   }
 
  private:
@@ -178,12 +204,15 @@ class SgbAllRunnerN {
     }
   }
 
-  /// Exact candidate test: rectangle filter, then (L2 only) a full member
-  /// scan — the N-D replacement for the 2-D convex-hull refinement.
+  /// Exact candidate test: L∞ on the member MBR; L2 a rectangle filter,
+  /// then a full member scan — the N-D replacement for the 2-D convex-hull
+  /// refinement.
   bool CandidateTest(const Group& g, const Point& p) {
     if (stats_ != nullptr) ++stats_->rectangle_tests;
+    if (options_.metric == geom::Metric::kLInf) {
+      return g.rect.LInfWithinEpsilonOfAll(p);
+    }
     if (!g.rect.PointInRectangleTest(p)) return false;
-    if (options_.metric == geom::Metric::kLInf) return true;
     for (const size_t m : g.members) {
       if (!SimilarTo(p, points_[m])) return false;
     }
@@ -315,7 +344,12 @@ class SgbAllRunnerN {
     use_index_ = options_.algorithm == SgbAllAlgorithm::kIndexed;
 
     std::vector<size_t> deferred;
+    size_t processed = 0;
     for (const size_t point_index : todo) {
+      if (options_.query_ctx != nullptr &&
+          processed++ % kAbortCheckStride == 0) {
+        ThrowIfAborted(options_.query_ctx);
+      }
       ProcessPoint(point_index, clause, &deferred);
     }
     for (const Group& g : groups_) {
@@ -338,7 +372,8 @@ class SgbAllRunnerN {
 
 }  // namespace nd_internal
 
-/// N-dimensional SGB-All. Same contract as core::SgbAll.
+/// N-dimensional SGB-All. Same contract as core::SgbAll, governance
+/// included; runs serially at every dop.
 template <size_t D>
 Result<Grouping> SgbAllNd(std::span<const geom::PointN<D>> points,
                           const SgbAllOptions& options,
@@ -351,71 +386,23 @@ Result<Grouping> SgbAllNd(std::span<const geom::PointN<D>> points,
     return Status::InvalidArgument(
         "SGB-All: max_regroup_rounds must be >= 1");
   }
-  nd_internal::SgbAllRunnerN<D> runner(points, options, stats);
-  return runner.Run();
+  try {
+    // Bookkeeping charge: the assignment and universe vectors, O(n) words.
+    ScopedMemoryCharge bookkeeping(options.query_ctx,
+                                   points.size() * sizeof(size_t) * 2);
+    nd_internal::SgbAllRunnerN<D> runner(points, options, stats);
+    return runner.Run();
+  } catch (const QueryAbort& abort) {
+    return abort.status();
+  }
 }
 
-/// N-dimensional SGB-Any. Same contract as core::SgbAny.
+/// N-dimensional SGB-Any. Same contract and implementation as
+/// core::SgbAny; defined in sgb_any.cc for D = 2, 3 and 4.
 template <size_t D>
 Result<Grouping> SgbAnyNd(std::span<const geom::PointN<D>> points,
                           const SgbAnyOptions& options,
-                          SgbAnyStats* stats = nullptr) {
-  if (!(options.epsilon >= 0.0) || !std::isfinite(options.epsilon)) {
-    return Status::InvalidArgument(
-        "SGB-Any: similarity threshold epsilon must be finite and >= 0");
-  }
-
-  index::UnionFind forest(points.size());
-  if (options.algorithm == SgbAnyAlgorithm::kAllPairs) {
-    for (size_t i = 0; i < points.size(); ++i) {
-      for (size_t j = 0; j < i; ++j) {
-        if (stats != nullptr) ++stats->distance_computations;
-        if (geom::Similar(points[i], points[j], options.metric,
-                          options.epsilon)) {
-          if (stats != nullptr) {
-            ++stats->union_operations;
-            if (!forest.Connected(i, j)) ++stats->group_merges;
-          }
-          forest.Union(i, j);
-        }
-      }
-    }
-  } else {
-    index::RTreeN<D> points_ix;
-    std::vector<geom::PointN<D>> stored(points.begin(), points.end());
-    for (size_t i = 0; i < points.size(); ++i) {
-      if (stats != nullptr) ++stats->index_window_queries;
-      const auto window = geom::RectN<D>::Around(points[i], options.epsilon);
-      points_ix.Search(window, [&](const geom::RectN<D>&, uint64_t id) {
-        if (options.metric == geom::Metric::kL2) {
-          if (stats != nullptr) ++stats->distance_computations;
-          if (!geom::Similar(points[i], stored[id], geom::Metric::kL2,
-                             options.epsilon)) {
-            return;
-          }
-        }
-        if (stats != nullptr) {
-          ++stats->union_operations;
-          if (!forest.Connected(i, id)) ++stats->group_merges;
-        }
-        forest.Union(i, static_cast<size_t>(id));
-      });
-      points_ix.Insert(points[i], i);
-    }
-  }
-
-  Grouping result;
-  result.group_of.assign(points.size(), Grouping::kEliminated);
-  std::vector<size_t> label_of_root(points.size(), Grouping::kEliminated);
-  for (size_t i = 0; i < points.size(); ++i) {
-    const size_t root = forest.Find(i);
-    if (label_of_root[root] == Grouping::kEliminated) {
-      label_of_root[root] = result.num_groups++;
-    }
-    result.group_of[i] = label_of_root[root];
-  }
-  return result;
-}
+                          SgbAnyStats* stats = nullptr);
 
 }  // namespace sgb::core
 

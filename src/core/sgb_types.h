@@ -31,9 +31,14 @@ enum class SgbAllAlgorithm {
 
 /// Algorithm tier for SGB-Any (Section 7).
 enum class SgbAnyAlgorithm {
-  kAllPairs,  ///< pairwise ε-edges, O(n^2)
-  kIndexed,   ///< Procedure 8: R-tree (Points_IX) + union-find
+  kAllPairs,  ///< pairwise ε-edges, O(n^2); the oracle, always serial
+  kIndexed,   ///< Procedure 8 on the ε-grid (Points_IX) + union-find
 };
+
+/// Points an SGB core loop processes between governance checks. Matches the
+/// operator layer's per-row stride so worst-case cancel latency is the same
+/// whichever layer is the bottleneck.
+inline constexpr size_t kAbortCheckStride = 64;
 
 const char* ToString(OverlapClause clause);
 const char* ToString(SgbAllAlgorithm algorithm);
@@ -98,10 +103,10 @@ struct SgbAnyOptions {
   double epsilon = 1.0;
   geom::Metric metric = geom::Metric::kL2;
   SgbAnyAlgorithm algorithm = SgbAnyAlgorithm::kIndexed;
-  /// Degree of parallelism: 1 runs the sequential reference path, k > 1
-  /// runs the grid-partitioned union with up to k workers, 0 means "auto"
-  /// (one worker per hardware thread). Results are identical for every
-  /// setting (docs/PARALLELISM.md).
+  /// Degree of parallelism of the kIndexed ε-grid: 1 scans it on the
+  /// calling thread, k > 1 splits its cells among up to k workers, 0 means
+  /// "auto" (one worker per hardware thread). kAllPairs ignores it. Results
+  /// are identical for every setting (docs/PARALLELISM.md).
   int degree_of_parallelism = 1;
   /// Governance context (see SgbAllOptions::query_ctx).
   QueryContext* query_ctx = nullptr;

@@ -32,13 +32,13 @@ std::vector<JoinPair> JoinNestedLoop(std::span<const Point> left,
   // Block scan of each left point against the whole right side as SoA
   // columns; ForEachSetBit emits pairs in ascending r, the same output
   // order (and the same |L|x|R| distance count) as the scalar loop.
-  geom::PointColumns cols;
+  geom::PointColumns<2> cols;
   cols.Assign(right);
   const geom::BlockSimilarity sim(metric, epsilon);
   std::vector<uint64_t> mask(geom::KernelMaskWords(right.size()));
   for (size_t l = 0; l < left.size(); ++l) {
     if (stats != nullptr) stats->distance_computations += right.size();
-    sim.Match(left[l], cols.xs(), cols.ys(), right.size(), mask.data());
+    sim.Match(left[l], cols.col(0), cols.col(1), right.size(), mask.data());
     geom::ForEachSetBit(mask.data(), right.size(),
                         [&](size_t r) { out.push_back(JoinPair{l, r}); });
   }
@@ -103,14 +103,14 @@ Result<std::vector<JoinPair>> SimilaritySelfJoin(
   if (algorithm == SimilarityJoinAlgorithm::kNestedLoop) {
     // Block scan of point i against the SoA suffix (i, n); bit b maps back
     // to j = i + 1 + b, keeping the scalar loop's pair order and count.
-    geom::PointColumns cols;
+    geom::PointColumns<2> cols;
     cols.Assign(points);
     const geom::BlockSimilarity sim(metric, epsilon);
     std::vector<uint64_t> mask(geom::KernelMaskWords(points.size()));
     for (size_t i = 0; i < points.size(); ++i) {
       const size_t suffix = points.size() - i - 1;
       if (stats != nullptr) stats->distance_computations += suffix;
-      sim.Match(points[i], cols.xs() + i + 1, cols.ys() + i + 1, suffix,
+      sim.Match(points[i], cols.col(0) + i + 1, cols.col(1) + i + 1, suffix,
                 mask.data());
       geom::ForEachSetBit(mask.data(), suffix, [&](size_t b) {
         out.push_back(JoinPair{i, i + 1 + b});

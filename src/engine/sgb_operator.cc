@@ -91,9 +91,6 @@ void PublishSgbAllStats(const core::SgbAllStats& s, OperatorStats* out) {
 
 void PublishSgbAnyStats(const core::SgbAnyStats& s, OperatorStats* out) {
   out->extra["dist_comps"] = s.distance_computations;
-  if (s.index_window_queries > 0) {
-    out->extra["window_queries"] = s.index_window_queries;
-  }
   if (s.union_operations > 0) out->extra["union_ops"] = s.union_operations;
   if (s.group_merges > 0) out->extra["group_merges"] = s.group_merges;
   PublishWorkerBreakdown(s.parallel_partitions, s.workers, out);

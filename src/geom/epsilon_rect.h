@@ -1,6 +1,7 @@
 #ifndef SGB_GEOM_EPSILON_RECT_H_
 #define SGB_GEOM_EPSILON_RECT_H_
 
+#include <cmath>
 #include <span>
 
 #include "geom/rect.h"
@@ -13,7 +14,10 @@ namespace sgb::geom {
 ///     Rε-All = ⋂_{m ∈ g} [m.x - ε, m.x + ε] x [m.y - ε, m.y + ε]
 ///
 /// Invariants (Section 6.3):
-///  * L∞:  p ∈ Rε-All  ⇔  δ∞(p, m) <= ε for every member m. Exact test.
+///  * L∞:  p ∈ Rε-All  ⇔  δ∞(p, m) <= ε for every member m, in exact
+///         arithmetic. In floating point the bounds m ± ε round on their
+///         own and can disagree with |p - m| <= ε by an ulp, so the exact
+///         test is LInfWithinEpsilonOfAll on the MBR instead.
 ///  * L2:  p ∉ Rε-All  ⇒  p cannot join the group (conservative filter);
 ///         points inside may still be false positives, refined by the
 ///         convex-hull test.
@@ -64,10 +68,32 @@ class EpsilonRect {
     return !empty_ && all_rect_.Contains(p);
   }
 
+  /// Exact L∞ membership test: true iff |p - m| <= ε on every axis for
+  /// every member m. Per axis the farthest member lies on an MBR bound, and
+  /// the rounded |p - x| grows monotonically with the distance of x from p,
+  /// so this evaluates the pairwise predicate's own subtraction on the
+  /// deciding member.
+  bool LInfWithinEpsilonOfAll(const Point& p) const {
+    return !empty_ &&
+           std::fmax(std::fabs(p.x - mbr_.lo.x), std::fabs(p.x - mbr_.hi.x)) <=
+               epsilon_ &&
+           std::fmax(std::fabs(p.y - mbr_.lo.y), std::fabs(p.y - mbr_.hi.y)) <=
+               epsilon_;
+  }
+
   /// OverlapRectangleTest of Procedure 4: can this group contain a point
-  /// within L∞ distance ε of p? (Superset of the L2 case.)
+  /// within L∞ distance ε of p? (Superset of the L2 case.) Measures p's gap
+  /// to the MBR per axis with the pairwise predicate's own subtraction, so
+  /// unlike intersecting the MBR with Rect::Around(p, ε), whose bounds round
+  /// on their own, it never rejects a group holding a member within ε.
   bool OverlapRectangleTest(const Point& p) const {
-    return !empty_ && mbr_.Intersects(Rect::Around(p, epsilon_));
+    return !empty_ && AxisGap(p.x, mbr_.lo.x, mbr_.hi.x) <= epsilon_ &&
+           AxisGap(p.y, mbr_.lo.y, mbr_.hi.y) <= epsilon_;
+  }
+
+  /// Distance from v to the interval [lo, hi] (0 inside it, and for NaN).
+  static double AxisGap(double v, double lo, double hi) {
+    return v < lo ? lo - v : v > hi ? v - hi : 0.0;
   }
 
  private:

@@ -1,12 +1,15 @@
 #ifndef SGB_GEOM_KERNELS_H_
 #define SGB_GEOM_KERNELS_H_
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "geom/nd.h"
 #include "geom/point.h"
 #include "geom/rect.h"
 
@@ -60,38 +63,39 @@ struct PointBlock {
   Point At(size_t i) const { return Point{x[i], y[i]}; }
 };
 
-/// Growable SoA point columns: group member lists, grid cells and join
-/// sides keep their coordinates here so the block kernels scan contiguous
-/// doubles instead of strided Point structs.
+/// Growable SoA columns of D-dimensional points, column a holding every
+/// point's a-th coordinate: group member lists, grid cells and join sides
+/// keep their coordinates here so the block kernels scan contiguous doubles
+/// instead of strided point structs.
+template <size_t D>
 class PointColumns {
  public:
   void Reserve(size_t n) {
-    xs_.reserve(n);
-    ys_.reserve(n);
+    for (std::vector<double>& c : cols_) c.reserve(n);
   }
-  void Assign(std::span<const Point> pts) {
-    xs_.clear();
-    ys_.clear();
+  /// Replaces the contents with `pts` (Point for D = 2, or PointN<D>).
+  template <typename P>
+  void Assign(std::span<const P> pts) {
+    Clear();
     Reserve(pts.size());
-    for (const Point& p : pts) PushBack(p);
+    for (const P& p : pts) PushBack(ToPointN(p));
   }
-  void PushBack(const Point& p) {
-    xs_.push_back(p.x);
-    ys_.push_back(p.y);
+  void PushBack(const PointN<D>& p) {
+    for (size_t a = 0; a < D; ++a) cols_[a].push_back(p[a]);
   }
   void Clear() {
-    xs_.clear();
-    ys_.clear();
+    for (std::vector<double>& c : cols_) c.clear();
   }
-  size_t size() const { return xs_.size(); }
-  bool empty() const { return xs_.empty(); }
-  const double* xs() const { return xs_.data(); }
-  const double* ys() const { return ys_.data(); }
-  Point operator[](size_t i) const { return Point{xs_[i], ys_[i]}; }
+  size_t size() const { return cols_[0].size(); }
+  const double* col(size_t a) const { return cols_[a].data(); }
+  PointN<D> operator[](size_t i) const {
+    PointN<D> p;
+    for (size_t a = 0; a < D; ++a) p[a] = cols_[a][i];
+    return p;
+  }
 
  private:
-  std::vector<double> xs_;
-  std::vector<double> ys_;
+  std::array<std::vector<double>, D> cols_;
 };
 
 /// Calls fn(i) for every set bit of an n-point selection mask, in ascending
@@ -185,6 +189,32 @@ class BlockSimilarity {
                                 mask)
                : SimilarBlockLInf(q.x, q.y, xs, ys, n, scalar_.epsilon(),
                                   mask);
+  }
+
+  /// Evaluates q against points [begin, begin + n) of D SoA columns; bit i
+  /// of the mask stands for point begin + i. D = 2 runs the dispatched
+  /// block kernels above; D >= 3 runs one portable column loop through the
+  /// same distance functions as geom::Similar<D>, so its selections are
+  /// those of the pairwise predicate.
+  template <size_t D>
+  size_t Match(const PointN<D>& q, const PointColumns<D>& cols,
+               size_t begin, size_t n, uint64_t* mask) const {
+    if constexpr (D == 2) {
+      return Match(Point{q[0], q[1]}, cols.col(0) + begin,
+                   cols.col(1) + begin, n, mask);
+    } else {
+      std::fill(mask, mask + KernelMaskWords(n), uint64_t{0});
+      const bool l2 = scalar_.metric() == Metric::kL2;
+      size_t count = 0;
+      for (size_t i = 0; i < n; ++i) {
+        const PointN<D> p = cols[begin + i];
+        const bool hit = l2 ? DistanceL2Squared(q, p) <= scalar_.epsilon_sq()
+                            : DistanceLInf(q, p) <= scalar_.epsilon();
+        mask[i / 64] |= uint64_t{hit} << (i % 64);
+        count += hit;
+      }
+      return count;
+    }
   }
 
   /// The hoisted-threshold scalar predicate, for single-pair call sites.

@@ -24,6 +24,14 @@ struct PointN {
   friend bool operator==(const PointN&, const PointN&) = default;
 };
 
+/// The 2-D Point as a PointN<2>, and PointN<D> as itself, so D-generic code
+/// can read either input.
+inline PointN<2> ToPointN(const Point& p) { return PointN<2>{{p.x, p.y}}; }
+template <size_t D>
+const PointN<D>& ToPointN(const PointN<D>& p) {
+  return p;
+}
+
 template <size_t D>
 double DistanceL2Squared(const PointN<D>& a, const PointN<D>& b) {
   double sum = 0.0;

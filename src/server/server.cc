@@ -101,12 +101,16 @@ void Server::Stop() {
     }
     return;
   }
-  unix_listener_.Close();
-  tcp_listener_.Close();
+  // Wake the accept threads without touching the descriptors they read;
+  // close only once they have exited.
+  unix_listener_.Shutdown();
+  tcp_listener_.Shutdown();
   for (auto& t : accept_threads_) {
     if (t.joinable()) t.join();
   }
   accept_threads_.clear();
+  unix_listener_.Close();
+  tcp_listener_.Close();
   if (watchdog_.joinable()) watchdog_.join();
 
   std::vector<std::shared_ptr<Connection>> conns;
@@ -135,15 +139,19 @@ size_t Server::active_connections() const {
 }
 
 void Server::ReapFinished() {
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  auto it = conns_.begin();
-  while (it != conns_.end()) {
-    if ((*it)->done.load(std::memory_order_acquire)) {
-      if ((*it)->thread.joinable()) (*it)->thread.join();
-      it = conns_.erase(it);
-    } else {
-      ++it;
-    }
+  std::vector<std::shared_ptr<Connection>> finished;
+  {
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    std::erase_if(conns_, [&finished](const std::shared_ptr<Connection>& c) {
+      const bool done = c->done.load(std::memory_order_acquire);
+      if (done) finished.push_back(c);
+      return done;
+    });
+  }
+  // Join outside conns_mu_: a connection thread still takes it (through
+  // active_connections()) after setting `done`.
+  for (const auto& conn : finished) {
+    if (conn->thread.joinable()) conn->thread.join();
   }
 }
 

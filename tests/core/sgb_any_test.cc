@@ -82,8 +82,62 @@ TEST(SgbAnyTest, StatsCountMergesAndQueries) {
   const auto result = SgbAny(pts, options, &stats);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().num_groups, 1u);
-  EXPECT_EQ(stats.index_window_queries, pts.size());
+  EXPECT_GT(stats.distance_computations, 0u);
+  EXPECT_GE(stats.union_operations, 4u);
   EXPECT_GE(stats.group_merges, 4u);  // n-1 merges to connect 5 points
+}
+
+TEST(SgbAnyTest, ZeroAndTinyEpsilonGroupOnlyCoincidentPoints) {
+  // 20000 distinct points over [0, 100]^2 plus 500 exact copies of some of
+  // them: at ε = 0 and at ε = 1e-13 (below the smallest cell side the grid
+  // allows for these coordinates) only the copies group.
+  Rng rng(17);
+  std::vector<Point> pts;
+  for (size_t i = 0; i < 20000; ++i) {
+    pts.push_back({rng.NextUniform(0, 100), rng.NextUniform(0, 100)});
+  }
+  for (size_t i = 0; i < 500; ++i) pts.push_back(pts[i * 7]);
+  for (const double epsilon : {0.0, 1e-13}) {
+    for (const Metric metric : {Metric::kL2, Metric::kLInf}) {
+      for (const int dop : {1, 4}) {
+        SCOPED_TRACE(::testing::Message() << "eps=" << epsilon << " metric="
+                                          << static_cast<int>(metric)
+                                          << " dop=" << dop);
+        SgbAnyOptions options;
+        options.epsilon = epsilon;
+        options.metric = metric;
+        options.degree_of_parallelism = dop;
+        SgbAnyStats stats;
+        const auto result = SgbAny(pts, options, &stats);
+        ASSERT_TRUE(result.ok());
+        EXPECT_EQ(result.value().num_groups, 20000u);
+        for (size_t i = 0; i < 500; ++i) {
+          EXPECT_EQ(result.value().group_of[20000 + i],
+                    result.value().group_of[i * 7]);
+        }
+        // Bounded work: the grid's cells stay small enough that only
+        // near-coincident points are compared, rather than every point
+        // collapsing into one cell.
+        EXPECT_LT(stats.distance_computations, 4 * pts.size());
+      }
+    }
+  }
+
+  // A pair 5e-14 apart groups at ε = 1e-13 but not at ε = 0, as all-pairs
+  // says.
+  const std::vector<Point> close = {{1, 1}, {1 + 5e-14, 1}, {1 + 5e-13, 1}};
+  for (const double epsilon : {0.0, 1e-13}) {
+    for (const SgbAnyAlgorithm algorithm :
+         {SgbAnyAlgorithm::kAllPairs, SgbAnyAlgorithm::kIndexed}) {
+      SgbAnyOptions options;
+      options.epsilon = epsilon;
+      options.algorithm = algorithm;
+      const auto result = SgbAny(close, options);
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(result.value().num_groups, epsilon == 0.0 ? 3u : 2u)
+          << "eps=" << epsilon << " " << ToString(algorithm);
+    }
+  }
 }
 
 TEST(SgbAnyTest, GroupIdsAreDenseAndInputOrdered) {

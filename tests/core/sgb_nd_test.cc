@@ -5,6 +5,7 @@
 #include <deque>
 #include <vector>
 
+#include "common/query_context.h"
 #include "common/random.h"
 #include "core/sgb_all.h"
 #include "core/sgb_any.h"
@@ -177,6 +178,85 @@ TEST(SgbNdTest, FourDimensionsGroupCorrectly) {
   const auto result = SgbAnyNd<4>(pts, options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().num_groups, 2u);
+}
+
+TEST(SgbNdTest, LInfPairAHairBeyondEpsilonStaysApart) {
+  // 0.55 - 0.5 = 0.050000000000000044 > ε, yet 0.5 + ε rounds to 0.55: an
+  // ε-rectangle or ε-window test alone would group the pair.
+  const std::vector<geom::Point> pts = {{0.5, 0}, {0.55, 0}};
+  const std::vector<P2> ptsn = {P2{{0.5, 0}}, P2{{0.55, 0}}};
+  for (const int dop : {1, 4}) {
+    SCOPED_TRACE(dop);
+    for (const SgbAllAlgorithm algorithm :
+         {SgbAllAlgorithm::kAllPairs, SgbAllAlgorithm::kBoundsChecking,
+          SgbAllAlgorithm::kIndexed}) {
+      SgbAllOptions options;
+      options.epsilon = 0.05;
+      options.metric = Metric::kLInf;
+      options.algorithm = algorithm;
+      options.degree_of_parallelism = dop;
+      EXPECT_EQ(SgbAll(pts, options).value().num_groups, 2u)
+          << ToString(algorithm);
+      EXPECT_EQ(SgbAllNd<2>(ptsn, options).value().num_groups, 2u)
+          << ToString(algorithm);
+    }
+    for (const SgbAnyAlgorithm algorithm :
+         {SgbAnyAlgorithm::kAllPairs, SgbAnyAlgorithm::kIndexed}) {
+      SgbAnyOptions options;
+      options.epsilon = 0.05;
+      options.metric = Metric::kLInf;
+      options.algorithm = algorithm;
+      options.degree_of_parallelism = dop;
+      EXPECT_EQ(SgbAny(pts, options).value().num_groups, 2u)
+          << ToString(algorithm);
+      EXPECT_EQ(SgbAnyNd<2>(ptsn, options).value().num_groups, 2u)
+          << ToString(algorithm);
+    }
+  }
+}
+
+TEST(SgbNdTest, GovernanceReachesTheThreeDimensionalCores) {
+  // The cores themselves honour cancel, deadline and budget (not only the
+  // operator around them): every tier, at dop 1 and 4, returns the
+  // governance Status and leaves no charge behind.
+  const std::vector<P3> pts = RandomCloud3d(500, 5.0, 11);
+  auto expect_abort = [&](QueryContext& ctx, Status::Code code) {
+    for (const int dop : {1, 4}) {
+      for (const SgbAllAlgorithm algorithm :
+           {SgbAllAlgorithm::kAllPairs, SgbAllAlgorithm::kBoundsChecking,
+            SgbAllAlgorithm::kIndexed}) {
+        SgbAllOptions options;
+        options.epsilon = 0.5;
+        options.algorithm = algorithm;
+        options.degree_of_parallelism = dop;
+        options.query_ctx = &ctx;
+        EXPECT_EQ(SgbAllNd<3>(pts, options).status().code(), code)
+            << ToString(algorithm) << " dop=" << dop;
+      }
+      for (const SgbAnyAlgorithm algorithm :
+           {SgbAnyAlgorithm::kAllPairs, SgbAnyAlgorithm::kIndexed}) {
+        SgbAnyOptions options;
+        options.epsilon = 0.5;
+        options.algorithm = algorithm;
+        options.degree_of_parallelism = dop;
+        options.query_ctx = &ctx;
+        EXPECT_EQ(SgbAnyNd<3>(pts, options).status().code(), code)
+            << ToString(algorithm) << " dop=" << dop;
+      }
+    }
+    EXPECT_EQ(ctx.memory().usage_bytes(), 0u);
+  };
+
+  QueryContext cancelled;
+  cancelled.Cancel();
+  expect_abort(cancelled, Status::Code::kCancelled);
+
+  QueryContext expired;
+  expired.SetTimeout(-1);
+  expect_abort(expired, Status::Code::kDeadlineExceeded);
+
+  QueryContext tight(/*memory_budget_bytes=*/1024);
+  expect_abort(tight, Status::Code::kResourceExhausted);
 }
 
 TEST(SgbNdTest, InvalidEpsilonRejected) {

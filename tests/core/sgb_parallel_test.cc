@@ -70,27 +70,37 @@ std::vector<Config> AllConfigs() {
 
 TEST(SgbAllParallelTest, MatchesSerialAcrossPoliciesMetricsAndDop) {
   for (const uint64_t seed : {11u, 22u, 33u}) {
-    const std::vector<Point> points = ClusteredPoints(400, seed);
-    for (const Config& cfg : AllConfigs()) {
-      SgbAllOptions options;
-      options.epsilon = 0.8;
-      options.metric = cfg.metric;
-      options.on_overlap = cfg.clause;
-      options.degree_of_parallelism = 1;
-      const auto serial = SgbAll(points, options);
-      ASSERT_TRUE(serial.ok());
+    const std::vector<Point> clustered = ClusteredPoints(400, seed);
+    // With exact copies appended, ε = 0 (a zero-radius 3ε decomposition)
+    // still forms multi-point groups.
+    std::vector<Point> with_copies = clustered;
+    with_copies.insert(with_copies.end(), clustered.begin(),
+                       clustered.begin() + 40);
+    for (const double epsilon : {0.8, 0.0}) {
+      const std::vector<Point>& points =
+          epsilon > 0.0 ? clustered : with_copies;
+      for (const Config& cfg : AllConfigs()) {
+        SgbAllOptions options;
+        options.epsilon = epsilon;
+        options.metric = cfg.metric;
+        options.on_overlap = cfg.clause;
+        options.degree_of_parallelism = 1;
+        const auto serial = SgbAll(points, options);
+        ASSERT_TRUE(serial.ok());
 
-      options.degree_of_parallelism = cfg.dop;
-      SgbAllStats stats;
-      const auto parallel = SgbAll(points, options, &stats);
-      ASSERT_TRUE(parallel.ok());
+        options.degree_of_parallelism = cfg.dop;
+        SgbAllStats stats;
+        const auto parallel = SgbAll(points, options, &stats);
+        ASSERT_TRUE(parallel.ok());
 
-      EXPECT_EQ(serial.value().group_of, parallel.value().group_of)
-          << "seed=" << seed << " metric=" << static_cast<int>(cfg.metric)
-          << " clause=" << ToString(cfg.clause) << " dop=" << cfg.dop;
-      EXPECT_EQ(serial.value().num_groups, parallel.value().num_groups);
-      EXPECT_GT(stats.parallel_partitions, 0u);
-      EXPECT_EQ(stats.workers.size(), static_cast<size_t>(cfg.dop));
+        EXPECT_EQ(serial.value().group_of, parallel.value().group_of)
+            << "seed=" << seed << " eps=" << epsilon
+            << " metric=" << static_cast<int>(cfg.metric)
+            << " clause=" << ToString(cfg.clause) << " dop=" << cfg.dop;
+        EXPECT_EQ(serial.value().num_groups, parallel.value().num_groups);
+        EXPECT_GT(stats.parallel_partitions, 0u);
+        EXPECT_EQ(stats.workers.size(), static_cast<size_t>(cfg.dop));
+      }
     }
   }
 }

@@ -343,6 +343,36 @@ TEST_F(ContinuousTest, DifferentialSweepAcrossMetricsPoliciesDopAndWindows) {
   }
 }
 
+TEST_F(ContinuousTest, LInfPairAHairBeyondEpsilonStaysApartAtClose) {
+  // 0.55 - 0.5 = 0.050000000000000044 > ε, yet 0.55 lies inside the
+  // ε-window of 0.5: the maintained grouping must verify window hits under
+  // L∞ too, or it merges the pair and the close's differential check
+  // against the batch execution fails.
+  for (const int dop : {1, 4}) {
+    SCOPED_TRACE(dop);
+    Database db;
+    ASSERT_TRUE(CreateEventsTable(db).ok());
+    ASSERT_TRUE(db.Query("CREATE CONTINUOUS QUERY hair AS "
+                         "SELECT count(*) FROM events GROUP BY x, y "
+                         "DISTANCE-TO-ANY LINF WITHIN 0.05 PARALLEL " +
+                         std::to_string(dop) +
+                         " WINDOW TUMBLING 10 ON t")
+                    .ok());
+    std::vector<CloseRecord> closes;
+    RecordCloses(db, "hair", &closes);
+    ASSERT_TRUE(
+        db.Query("INSERT INTO events VALUES (1, 1, 0.5, 0), (2, 2, 0.55, 0)")
+            .ok());
+    auto flush = db.Query("INSERT INTO events VALUES (0, 1000, 0, 0)");
+    ASSERT_TRUE(flush.ok()) << flush.status().ToString();
+    ASSERT_FALSE(closes.empty());
+    EXPECT_EQ(closes[0].rows, 2u);
+    EXPECT_EQ(closes[0].groups, 2u);
+    EXPECT_EQ(SysInt(db, "hair", "differential_checks"),
+              SysInt(db, "hair", "windows_closed"));
+  }
+}
+
 // ---- out-of-order convergence -------------------------------------------
 
 // The same row multiset delivered in different arrival orders must close

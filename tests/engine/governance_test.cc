@@ -37,6 +37,11 @@ constexpr char kSgbAllQuery[] =
 constexpr char kSgbParallelQuery[] =
     "SELECT count(*) FROM pts GROUP BY x, y "
     "DISTANCE-TO-ANY L2 WITHIN 0.4 PARALLEL 4";
+constexpr char kSgbAll3dQuery[] =
+    "SELECT count(*) FROM pts3 GROUP BY x, y, z "
+    "DISTANCE-TO-ALL L2 WITHIN 0.4 ON-OVERLAP ELIMINATE";
+constexpr char kSgbAny3dQuery[] =
+    "SELECT count(*) FROM pts3 GROUP BY x, y, z DISTANCE-TO-ANY L2 WITHIN 0.4";
 // Narrow result (count only): the group map dwarfs the materialized
 // result, so a budget between the two forces the spill path yet leaves the
 // per-partition retries plenty of headroom.
@@ -57,6 +62,25 @@ Database PointsDb(size_t n, double extent = 10.0, uint64_t seed = 7) {
   }
   db.Register("pts", pts);
   return db;
+}
+
+/// Adds pts3(x, y, z): n uniform points in [0, extent)^3 for the 3-D SGB
+/// statements.
+void RegisterPoints3d(Database& db, size_t n, double extent = 10.0,
+                      uint64_t seed = 7) {
+  auto pts = std::make_shared<Table>(Schema({
+      Column{"x", DataType::kDouble, ""},
+      Column{"y", DataType::kDouble, ""},
+      Column{"z", DataType::kDouble, ""},
+  }));
+  Rng rng(seed);
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_TRUE(pts->Append({Value::Double(rng.NextUniform(0, extent)),
+                             Value::Double(rng.NextUniform(0, extent)),
+                             Value::Double(rng.NextUniform(0, extent))})
+                    .ok());
+  }
+  db.Register("pts3", pts);
 }
 
 /// Wide rows with ~1000 distinct keys: a plain hash aggregate over them
@@ -204,6 +228,37 @@ TEST_F(GovernanceTest, TimeoutFailsWithDeadlineExceeded) {
   EXPECT_TRUE(db.Query(kSgbAnyQuery).ok());
 }
 
+TEST_F(GovernanceTest, ThreeDimensionalSgbTimeoutFailsWithDeadlineExceeded) {
+  // The 2-D case's setup, over x, y, z: the 3-D cores check the deadline
+  // at the same point stride (SGB-All) or per grid cell (SGB-Any).
+  Database db;
+  RegisterPoints3d(db, 30000);
+  ASSERT_TRUE(db.Query("SET timeout = 1").ok());
+  for (const char* sql : {kSgbAll3dQuery, kSgbAny3dQuery}) {
+    SCOPED_TRACE(sql);
+    auto result = db.Query(sql);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), Status::Code::kDeadlineExceeded);
+  }
+  ASSERT_TRUE(db.Query("SET timeout = 0").ok());
+  EXPECT_TRUE(db.Query(kSgbAny3dQuery).ok());
+}
+
+TEST_F(GovernanceTest, ThreeDimensionalSgbBudgetBreachFailsWithResourceExhausted) {
+  Database db;
+  RegisterPoints3d(db, 2000);
+  const size_t before = MemoryTracker::EngineGlobal().usage_bytes();
+  ASSERT_TRUE(db.Query("SET memory_budget = 1024").ok());
+  for (const char* sql : {kSgbAll3dQuery, kSgbAny3dQuery}) {
+    SCOPED_TRACE(sql);
+    EXPECT_EQ(db.Query(sql).status().code(),
+              Status::Code::kResourceExhausted);
+  }
+  EXPECT_EQ(MemoryTracker::EngineGlobal().usage_bytes(), before);
+  ASSERT_TRUE(db.Query("SET memory_budget = 0").ok());
+  EXPECT_TRUE(db.Query(kSgbAll3dQuery).ok());
+}
+
 // ---- Cancellation -------------------------------------------------------
 
 TEST_F(GovernanceTest, PreCancelledContextAbortsDeterministically) {
@@ -219,6 +274,23 @@ TEST_F(GovernanceTest, PreCancelledContextAbortsDeterministically) {
   // Detached from the cancelled context, the same plan runs to completion.
   plan.value()->SetQueryContext(nullptr);
   EXPECT_TRUE(Materialize(*plan.value()).ok());
+}
+
+TEST_F(GovernanceTest, ThreeDimensionalSgbPreCancelledContextAborts) {
+  Database db;
+  RegisterPoints3d(db, 100);
+  for (const char* sql : {kSgbAll3dQuery, kSgbAny3dQuery}) {
+    SCOPED_TRACE(sql);
+    auto plan = db.Prepare(sql);
+    ASSERT_TRUE(plan.ok());
+    QueryContext ctx;
+    ctx.Cancel();
+    plan.value()->SetQueryContext(&ctx);
+    EXPECT_EQ(Materialize(*plan.value()).status().code(),
+              Status::Code::kCancelled);
+    plan.value()->SetQueryContext(nullptr);
+    EXPECT_TRUE(Materialize(*plan.value()).ok());
+  }
 }
 
 TEST_F(GovernanceTest, CancelFromAnotherThreadAbortsRunningQuery) {

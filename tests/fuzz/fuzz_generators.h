@@ -15,11 +15,18 @@
 #include "core/sgb_all.h"
 #include "core/sgb_any.h"
 #include "core/sgb_types.h"
+#include "geom/nd.h"
 #include "geom/point.h"
 
 namespace sgb::core {
 
-enum class PointKind { kUniform, kClustered, kDuplicates, kNonFinite };
+enum class PointKind {
+  kUniform,
+  kClustered,
+  kDuplicates,
+  kNonFinite,
+  kLInfLattice,
+};
 
 inline const char* KindName(PointKind kind) {
   switch (kind) {
@@ -27,6 +34,7 @@ inline const char* KindName(PointKind kind) {
     case PointKind::kClustered: return "clustered";
     case PointKind::kDuplicates: return "duplicates";
     case PointKind::kNonFinite: return "non-finite";
+    case PointKind::kLInfLattice: return "linf-lattice";
   }
   return "?";
 }
@@ -77,8 +85,32 @@ inline std::vector<geom::Point> GeneratePoints(Rng& rng, PointKind kind,
       }
       break;
     }
+    case PointKind::kLInfLattice:
+      // Multiples of 0.001 drawn under L∞ with ε = 0.05 (DrawConfig): many
+      // pairs sit 50 lattice steps apart on an axis, and the rounded
+      // difference of such a pair lands a hair above or below ε — the
+      // regime where a window or rectangle test, whose bounds p ± ε round
+      // on their own, disagrees with the pairwise predicate.
+      for (size_t i = 0; i < n; ++i) {
+        pts.push_back({0.001 * static_cast<double>(rng.NextBounded(300)),
+                       0.001 * static_cast<double>(rng.NextBounded(300))});
+      }
+      break;
   }
   return pts;
+}
+
+/// A third coordinate per point, drawn from the same generator, so the 3-D
+/// cores see the kind's regime on every axis.
+inline std::vector<geom::PointN<3>> Lift3d(Rng& rng, PointKind kind,
+                                           const std::vector<geom::Point>& pts) {
+  const std::vector<geom::Point> extra = GeneratePoints(rng, kind, pts.size());
+  std::vector<geom::PointN<3>> out;
+  out.reserve(pts.size());
+  for (size_t i = 0; i < pts.size(); ++i) {
+    out.push_back(geom::PointN<3>{{pts[i].x, pts[i].y, extra[i].x}});
+  }
+  return out;
 }
 
 struct CaseConfig {
@@ -124,10 +156,14 @@ inline SgbAnyOptions AnyOptions(const CaseConfig& config,
 
 inline CaseConfig DrawConfig(Rng& rng) {
   CaseConfig config;
-  config.kind = static_cast<PointKind>(rng.NextBounded(4));
+  config.kind = static_cast<PointKind>(rng.NextBounded(5));
   config.metric = rng.NextBounded(2) == 0 ? geom::Metric::kL2
                                           : geom::Metric::kLInf;
   config.epsilon = rng.NextUniform(0.05, 2.0);
+  if (config.kind == PointKind::kLInfLattice) {
+    config.metric = geom::Metric::kLInf;
+    config.epsilon = 0.05;
+  }
   constexpr OverlapClause kClauses[] = {OverlapClause::kJoinAny,
                                         OverlapClause::kEliminate,
                                         OverlapClause::kFormNewGroup};
@@ -137,13 +173,18 @@ inline CaseConfig DrawConfig(Rng& rng) {
 }
 
 /// Paste-able repro: the config plus every point at full precision.
-inline std::string Repro(const CaseConfig& config,
-                         const std::vector<geom::Point>& pts) {
+template <typename Pt>
+std::string Repro(const CaseConfig& config, const std::vector<Pt>& pts) {
   std::string out = "repro: " + config.ToText() + "\npoints = {\n";
-  char buf[96];
-  for (const geom::Point& p : pts) {
-    std::snprintf(buf, sizeof(buf), "  {%.17g, %.17g},\n", p.x, p.y);
-    out += buf;
+  char buf[32];
+  for (const Pt& point : pts) {
+    const auto& p = geom::ToPointN(point);
+    out += "  {";
+    for (size_t a = 0; a < p.c.size(); ++a) {
+      std::snprintf(buf, sizeof(buf), a == 0 ? "%.17g" : ", %.17g", p[a]);
+      out += buf;
+    }
+    out += "},\n";
   }
   out += "};";
   return out;

@@ -1,11 +1,12 @@
 // Differential fuzz harness for the SGB cores and the engine pipeline.
 //
 // Each case draws a seeded point set (uniform / clustered / adversarial
-// duplicates / non-finite coordinates) and a random configuration
-// ({L2, LInf} x {JOIN-ANY, ELIMINATE, FORM-NEW-GROUP} x dop {1, 4}), then
-// cross-checks every implementation tier against the All-Pairs oracle:
-// SGB-All {AllPairs, BoundsChecking, Indexed} and SGB-Any
-// {AllPairs, Indexed}, serial and parallel, must produce bit-identical
+// duplicates / non-finite coordinates / an L∞ lattice with pairs a hair
+// beyond ε) and a random configuration ({L2, LInf} x {JOIN-ANY, ELIMINATE,
+// FORM-NEW-GROUP} x dop {1, 4}), then cross-checks every implementation
+// tier against the All-Pairs oracle: SGB-All {AllPairs, BoundsChecking,
+// Indexed} and SGB-Any {AllPairs, Indexed}, serial and parallel, in 2-D
+// and (SgbAllNd<3>, SgbAnyNd<3>) in 3-D, must produce bit-identical
 // groupings. A separate pass drives the same grouping through the engine's
 // batch pipeline at several RowBatch capacities and cross-checks the
 // materialized tables.
@@ -36,6 +37,7 @@
 #include "common/random.h"
 #include "core/sgb_all.h"
 #include "core/sgb_any.h"
+#include "core/sgb_nd.h"
 #include "engine/continuous.h"
 #include "engine/csv.h"
 #include "engine/executor.h"
@@ -49,6 +51,7 @@ namespace {
 
 using geom::Metric;
 using geom::Point;
+using P3 = geom::PointN<3>;
 
 uint64_t EnvU64(const char* name, uint64_t fallback) {
   const char* value = std::getenv(name);
@@ -62,13 +65,13 @@ uint64_t FuzzSeed() { return EnvU64("SGB_FUZZ_SEED", 20260806); }
 /// Greedy delta-debugging: drop any point whose removal keeps the mismatch,
 /// repeating until a pass removes nothing. `mismatch` returns true when the
 /// divergence is still present on the candidate input.
-template <typename MismatchFn>
-std::vector<Point> Minimize(std::vector<Point> pts, MismatchFn mismatch) {
+template <typename Pt, typename MismatchFn>
+std::vector<Pt> Minimize(std::vector<Pt> pts, MismatchFn mismatch) {
   bool shrunk = true;
   while (shrunk && pts.size() > 1) {
     shrunk = false;
     for (size_t i = 0; i < pts.size();) {
-      std::vector<Point> candidate = pts;
+      std::vector<Pt> candidate = pts;
       candidate.erase(candidate.begin() + static_cast<ptrdiff_t>(i));
       if (mismatch(candidate)) {
         pts = std::move(candidate);
@@ -82,19 +85,18 @@ std::vector<Point> Minimize(std::vector<Point> pts, MismatchFn mismatch) {
 }
 
 /// Both runs must succeed and agree exactly; reports a minimized repro
-/// otherwise. Returns false on divergence so callers can stop early.
-template <typename RunFn>
-bool CheckAgainstOracle(const std::vector<Point>& pts,
-                        const CaseConfig& config, const Grouping& oracle,
-                        RunFn run, const char* variant) {
+/// otherwise. `oracle_fn` recomputes the oracle on a shrunk input. Returns
+/// false on divergence so callers can stop early.
+template <typename Pt, typename OracleFn, typename RunFn>
+bool CheckAgainst(const std::vector<Pt>& pts, const CaseConfig& config,
+                  const Grouping& oracle, OracleFn oracle_fn, RunFn run,
+                  const char* variant) {
   auto result = run(pts);
   if (result.ok() && result.value().group_of == oracle.group_of) return true;
 
-  auto mismatch = [&run, &config](const std::vector<Point>& candidate) {
-    // Recompute the oracle on the shrunk input; any error counts as a
-    // still-live divergence.
-    auto fresh_oracle = SgbAll(candidate, AllOptions(
-        config, SgbAllAlgorithm::kAllPairs, 1));
+  auto mismatch = [&](const std::vector<Pt>& candidate) {
+    // Any error counts as a still-live divergence.
+    auto fresh_oracle = oracle_fn(candidate);
     auto fresh = run(candidate);
     if (!fresh_oracle.ok() || !fresh.ok()) return true;
     return fresh_oracle.value().group_of != fresh.value().group_of;
@@ -108,28 +110,88 @@ bool CheckAgainstOracle(const std::vector<Point>& pts,
   return false;
 }
 
-/// SGB-Any variant of the above (its own oracle).
+template <typename RunFn>
+bool CheckAgainstOracle(const std::vector<Point>& pts,
+                        const CaseConfig& config, const Grouping& oracle,
+                        RunFn run, const char* variant) {
+  return CheckAgainst(
+      pts, config, oracle,
+      [&config](const std::vector<Point>& input) {
+        return SgbAll(input, AllOptions(config, SgbAllAlgorithm::kAllPairs, 1));
+      },
+      run, variant);
+}
+
 template <typename RunFn>
 bool CheckAnyAgainstOracle(const std::vector<Point>& pts,
                            const CaseConfig& config, const Grouping& oracle,
                            RunFn run, const char* variant) {
-  auto result = run(pts);
-  if (result.ok() && result.value().group_of == oracle.group_of) return true;
+  return CheckAgainst(
+      pts, config, oracle,
+      [&config](const std::vector<Point>& input) {
+        return SgbAny(input, AnyOptions(config, SgbAnyAlgorithm::kAllPairs, 1));
+      },
+      run, variant);
+}
 
-  auto mismatch = [&run, &config](const std::vector<Point>& candidate) {
-    auto fresh_oracle = SgbAny(candidate, AnyOptions(
-        config, SgbAnyAlgorithm::kAllPairs, 1));
-    auto fresh = run(candidate);
-    if (!fresh_oracle.ok() || !fresh.ok()) return true;
-    return fresh_oracle.value().group_of != fresh.value().group_of;
+/// The 3-D cores against their own all-pairs tiers: SgbAllNd<3>
+/// bounds/indexed and SgbAnyNd<3> indexed, at dop 1 and 4.
+bool CheckThreeDimensional(const std::vector<P3>& pts,
+                           const CaseConfig& config) {
+  auto all_oracle_fn = [&config](const std::vector<P3>& input) {
+    return SgbAllNd<3>(std::span<const P3>(input),
+                       AllOptions(config, SgbAllAlgorithm::kAllPairs, 1));
   };
-  const auto minimal = Minimize(pts, mismatch);
-  ADD_FAILURE() << variant << " diverges from the All-Pairs oracle\n"
-                << (result.ok() ? "(grouping mismatch)"
-                                : result.status().ToString())
-                << "\n"
-                << Repro(config, minimal);
-  return false;
+  auto any_oracle_fn = [&config](const std::vector<P3>& input) {
+    return SgbAnyNd<3>(std::span<const P3>(input),
+                       AnyOptions(config, SgbAnyAlgorithm::kAllPairs, 1));
+  };
+  auto all_oracle = all_oracle_fn(pts);
+  auto any_oracle = any_oracle_fn(pts);
+  EXPECT_TRUE(all_oracle.ok() && any_oracle.ok());
+  if (!all_oracle.ok() || !any_oracle.ok()) return false;
+  bool ok = true;
+  for (const int dop : {1, 4}) {
+    for (const SgbAllAlgorithm algorithm :
+         {SgbAllAlgorithm::kBoundsChecking, SgbAllAlgorithm::kIndexed}) {
+      const std::string variant = std::string("SgbAllNd<3>/") +
+                                  ToString(algorithm) + "/dop" +
+                                  std::to_string(dop);
+      ok &= CheckAgainst(
+          pts, config, all_oracle.value(), all_oracle_fn,
+          [&config, algorithm, dop](const std::vector<P3>& input) {
+            return SgbAllNd<3>(std::span<const P3>(input),
+                               AllOptions(config, algorithm, dop));
+          },
+          variant.c_str());
+    }
+    const std::string variant =
+        "SgbAnyNd<3>/Indexed/dop" + std::to_string(dop);
+    ok &= CheckAgainst(
+        pts, config, any_oracle.value(), any_oracle_fn,
+        [&config, dop](const std::vector<P3>& input) {
+          return SgbAnyNd<3>(
+              std::span<const P3>(input),
+              AnyOptions(config, SgbAnyAlgorithm::kIndexed, dop));
+        },
+        variant.c_str());
+  }
+  return ok;
+}
+
+/// Pairs whose L∞ ε-window contains each other although their rounded
+/// distance exceeds ε: the inputs a window-as-exact test gets wrong.
+size_t CountHairPairs(const std::vector<Point>& pts, double epsilon) {
+  size_t hairs = 0;
+  for (size_t i = 0; i < pts.size(); ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      if (geom::Rect::Around(pts[i], epsilon).Contains(pts[j]) &&
+          !geom::Similar(pts[i], pts[j], Metric::kLInf, epsilon)) {
+        ++hairs;
+      }
+    }
+  }
+  return hairs;
 }
 
 /// Every grouping — even over garbage coordinates — must be well-formed:
@@ -147,10 +209,12 @@ TEST(SgbFuzzTest, DifferentialCrossCheckAgainstAllPairsOracle) {
   Rng rng(FuzzSeed());
   const size_t cases = FuzzCases();
   size_t non_finite_cases = 0;
+  size_t hair_pairs = 0;
   for (size_t c = 0; c < cases; ++c) {
     const CaseConfig config = DrawConfig(rng);
     const size_t n = rng.NextBounded(121);  // includes the empty input
     const auto pts = GeneratePoints(rng, config.kind, n);
+    const auto pts3 = Lift3d(rng, config.kind, pts);
     SCOPED_TRACE("case " + std::to_string(c) + ": " + config.ToText() +
                  " n=" + std::to_string(n));
 
@@ -172,6 +236,10 @@ TEST(SgbFuzzTest, DifferentialCrossCheckAgainstAllPairsOracle) {
         auto result = SgbAny(pts, AnyOptions(config, algorithm, 1));
         ASSERT_TRUE(result.ok()) << result.status().ToString();
         ExpectValidShape(result.value(), n, config);
+        auto result3 = SgbAnyNd<3>(std::span<const P3>(pts3),
+                                   AnyOptions(config, algorithm, 1));
+        ASSERT_TRUE(result3.ok()) << result3.status().ToString();
+        ExpectValidShape(result3.value(), n, config);
       }
       continue;
     }
@@ -224,10 +292,17 @@ TEST(SgbFuzzTest, DifferentialCrossCheckAgainstAllPairsOracle) {
             variant.c_str());
       }
     }
+    ok &= CheckThreeDimensional(pts3, config);
+    if (config.metric == Metric::kLInf) {
+      hair_pairs += CountHairPairs(pts, config.epsilon);
+    }
     if (!ok) break;  // one minimized repro is enough
   }
   EXPECT_GT(non_finite_cases, 0u)
       << "fuzz sweep never drew the non-finite generator; raise "
+         "SGB_FUZZ_CASES";
+  EXPECT_GT(hair_pairs, 0u)
+      << "fuzz sweep never drew an L∞ pair a hair beyond ε; raise "
          "SGB_FUZZ_CASES";
 }
 

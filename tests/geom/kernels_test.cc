@@ -198,25 +198,25 @@ TEST(KernelsTest, ForEachSetBitAscendingAcrossWords) {
 
 TEST(KernelsTest, PointBlockAndColumnsRoundTrip) {
   PointBlock block;
-  PointColumns cols;
-  EXPECT_TRUE(cols.empty());
+  PointColumns<2> cols;
+  EXPECT_EQ(cols.size(), 0u);
   for (size_t i = 0; i < 10; ++i) {
     const Point p{static_cast<double>(i), -static_cast<double>(i)};
     block.PushBack(p);
-    cols.PushBack(p);
+    cols.PushBack(ToPointN(p));
   }
   EXPECT_EQ(block.size, 10u);
   EXPECT_FALSE(block.Full());
   EXPECT_EQ(cols.size(), 10u);
   for (size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(block.At(i).x, cols[i].x);
-    EXPECT_EQ(block.At(i).y, cols[i].y);
-    EXPECT_EQ(cols.xs()[i], static_cast<double>(i));
+    EXPECT_EQ(block.At(i).x, cols[i][0]);
+    EXPECT_EQ(block.At(i).y, cols[i][1]);
+    EXPECT_EQ(cols.col(0)[i], static_cast<double>(i));
   }
   block.Clear();
   cols.Clear();
   EXPECT_EQ(block.size, 0u);
-  EXPECT_TRUE(cols.empty());
+  EXPECT_EQ(cols.size(), 0u);
 }
 
 TEST(KernelsTest, ActiveVariantIsKnown) {

@@ -202,9 +202,10 @@ TEST(HammerTest, ZeroDivergenceAgainstSingleSessionReplay) {
 }
 
 TEST(HammerTest, DroppedConnectionCancelsOnlyItsOwnQuery) {
-  // Large enough that the SGB query runs for hundreds of milliseconds —
-  // the same sizing the engine-level cancellation test relies on.
-  engine::Database db = PointsDb(60000, 40.0);
+  // Large enough that the SGB query runs for hundreds of milliseconds
+  // (about 0.5 s on the ε-grid), many watchdog intervals, so the dropped
+  // connection is noticed mid-query.
+  engine::Database db = PointsDb(300000, 90.0);
   ServerOptions options;
   options.tcp = true;
   Server server(&db, options);
@@ -248,7 +249,7 @@ TEST(HammerTest, DroppedConnectionCancelsOnlyItsOwnQuery) {
   ASSERT_TRUE(bystander.ok());
   auto ok = bystander.value().Query("SELECT count(*) FROM pts");
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-  EXPECT_EQ(ok.value().rows[0][0], "60000");
+  EXPECT_EQ(ok.value().rows[0][0], "300000");
 
   // The dropped statement lands in the query log as `cancelled`.
   bool logged_cancelled = false;

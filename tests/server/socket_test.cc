@@ -135,7 +135,10 @@ TEST(SocketTest, LineReaderRejectsOversizedLine) {
   EXPECT_EQ(more.status().code(), Status::Code::kIoError);
 }
 
-TEST(SocketTest, CloseUnblocksConcurrentAccept) {
+// The stop protocol Server::Stop follows: Shutdown() wakes the blocked
+// Accept() without touching the descriptor it reads, and Close() runs only
+// after the accepting thread has been joined.
+TEST(SocketTest, ShutdownUnblocksConcurrentAccept) {
   auto listener = Listener::ListenTcp(0);
   ASSERT_TRUE(listener.ok());
   Status accept_status = Status::OK();
@@ -143,9 +146,11 @@ TEST(SocketTest, CloseUnblocksConcurrentAccept) {
     accept_status = listener.value().Accept().status();
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  listener.value().Close();
+  listener.value().Shutdown();
   acceptor.join();
+  listener.value().Close();
   EXPECT_FALSE(accept_status.ok());
+  EXPECT_FALSE(listener.value().valid());
 }
 
 }  // namespace
